@@ -26,86 +26,17 @@ import (
 // evaluation with the current one's merge.
 const routerLookahead = 2
 
-// params are the parsed query parameters of a routed GET request,
-// validated and clamped exactly like a node's (shared syntax, shared
-// defaults), so moving a client from sisrv to sirouter changes the
-// URL and nothing else.
-type params struct {
-	src     string
-	limit   int
-	offset  int
-	timeout time.Duration
-}
-
-// effectiveLimit clamps a requested limit to the router's cap, with
-// server semantics: 0 means the cap itself, a negative cap means
-// unlimited.
-func (r *Router) effectiveLimit(requested int) int {
-	if r.cfg.MaxMatches < 0 {
-		if requested > 0 {
-			return requested
-		}
-		return 0
+// parseParams parses a routed GET request with the node's own parser
+// (server.ParseParams), so the router validates and clamps exactly
+// like a node. explain=1 is refused: the router does not merge
+// per-node planner breakdowns yet, and answering without them would
+// silently drop what the client asked for.
+func (r *Router) parseParams(req *http.Request) (server.Params, error) {
+	p, err := server.ParseParams(req, r.cfg.MaxMatches)
+	if err == nil && p.Explain {
+		err = errors.New("explain is not yet supported through sirouter")
 	}
-	if requested <= 0 || requested > r.cfg.MaxMatches {
-		return r.cfg.MaxMatches
-	}
-	return requested
-}
-
-// boundParams validates and clamps the limit/offset/timeout triple for
-// both the GET endpoints and /batch bodies.
-func (r *Router) boundParams(limit, offset int, timeout string) (int, int, time.Duration, error) {
-	if offset < 0 {
-		return 0, 0, 0, fmt.Errorf("bad offset %d (must be >= 0)", offset)
-	}
-	var d time.Duration
-	if timeout != "" {
-		td, err := time.ParseDuration(timeout)
-		if err != nil || td <= 0 {
-			return 0, 0, 0, fmt.Errorf("bad timeout %q (want a positive Go duration, e.g. 500ms)", timeout)
-		}
-		d = td
-	}
-	return r.effectiveLimit(limit), offset, d, nil
-}
-
-// parseParams validates q, limit, offset and timeout.
-func (r *Router) parseParams(req *http.Request) (params, error) {
-	var p params
-	v := req.URL.Query()
-	p.src = v.Get("q")
-	if p.src == "" {
-		return p, fmt.Errorf("missing q parameter")
-	}
-	if raw := v.Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil {
-			return p, fmt.Errorf("bad limit %q", raw)
-		}
-		p.limit = n
-	}
-	if raw := v.Get("offset"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil {
-			return p, fmt.Errorf("bad offset %q", raw)
-		}
-		p.offset = n
-	}
-	var err error
-	p.limit, p.offset, p.timeout, err = r.boundParams(p.limit, p.offset, v.Get("timeout"))
 	return p, err
-}
-
-// requestCtx bounds a routed request like a node bounds its own: the
-// client's context, capped by the requested timeout clamped to the
-// router default.
-func (r *Router) requestCtx(req *http.Request, requested time.Duration) (context.Context, context.CancelFunc) {
-	d := r.cfg.Timeout
-	if requested > 0 && (d <= 0 || requested < d) {
-		d = requested
-	}
-	return contextWithTimeout(req.Context(), d)
 }
 
 // nodeQuery builds the query string of one node subrequest: the query
@@ -191,11 +122,11 @@ func (r *Router) handleSearch(w http.ResponseWriter, req *http.Request) {
 		r.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ctx, cancel := r.requestCtx(req, p.timeout)
+	ctx, cancel := server.RequestCtx(req, p.Timeout, r.cfg.Timeout)
 	defer cancel()
 	start := time.Now()
 	var qr server.QueryResult
-	if target := searchTarget(p.limit, p.offset); target > 0 {
+	if target := searchTarget(p.Limit, p.Offset); target > 0 {
 		qr, err = r.searchLazy(ctx, p, target)
 	} else {
 		qr, err = r.searchFanout(ctx, p)
@@ -227,9 +158,9 @@ func searchTarget(limit, offset int) int {
 // into the found count, a group that fails after the window filled was
 // speculative and is skipped, and a group the window still needs
 // failing fails the search.
-func (r *Router) searchLazy(ctx context.Context, p params, target int) (server.QueryResult, error) {
+func (r *Router) searchLazy(ctx context.Context, p server.Params, target int) (server.QueryResult, error) {
 	bases := r.bases()
-	nq := nodeQuery(ctx, p.src, target, 0)
+	nq := nodeQuery(ctx, p.Src, target, 0)
 	outs := make([]chan groupSearch, len(r.groups))
 	launched := 0
 	launch := func() {
@@ -279,9 +210,9 @@ func (r *Router) searchLazy(ctx context.Context, p params, target int) (server.Q
 	// merged slice's first target elements are exactly the global
 	// result's — the same prefix the engine's window() would cut.
 	upper := min(target, len(merged))
-	lower := min(p.offset, upper)
+	lower := min(p.Offset, upper)
 	return server.QueryResult{
-		Query:     p.src,
+		Query:     p.Src,
 		Count:     found,
 		Matches:   wireMatches(merged[lower:upper]),
 		Truncated: found > target || consulted < len(r.groups),
@@ -299,9 +230,9 @@ type groupSearch struct {
 // offset. A node whose own match cap clipped its window reports
 // truncated, which the router propagates (run nodes with -limit -1 to
 // make unlimited routed searches exact).
-func (r *Router) searchFanout(ctx context.Context, p params) (server.QueryResult, error) {
+func (r *Router) searchFanout(ctx context.Context, p server.Params) (server.QueryResult, error) {
 	bases := r.bases()
-	nq := nodeQuery(ctx, p.src, -1, 0)
+	nq := nodeQuery(ctx, p.Src, -1, 0)
 	outs := make([]groupSearch, len(r.groups))
 	done := make(chan int, len(r.groups))
 	for i := range r.groups {
@@ -324,9 +255,9 @@ func (r *Router) searchFanout(ctx context.Context, p params) (server.QueryResult
 		found += outs[i].resp.Count
 		truncated = truncated || outs[i].resp.Truncated
 	}
-	lower := min(p.offset, len(merged))
+	lower := min(p.Offset, len(merged))
 	return server.QueryResult{
-		Query:     p.src,
+		Query:     p.Src,
 		Count:     found,
 		Matches:   wireMatches(merged[lower:]),
 		Truncated: truncated,
@@ -344,11 +275,11 @@ func (r *Router) handleCount(w http.ResponseWriter, req *http.Request) {
 		r.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ctx, cancel := r.requestCtx(req, p.timeout)
+	ctx, cancel := server.RequestCtx(req, p.Timeout, r.cfg.Timeout)
 	defer cancel()
 	start := time.Now()
 	nq := url.Values{}
-	nq.Set("q", p.src)
+	nq.Set("q", p.Src)
 	if dl, ok := ctx.Deadline(); ok {
 		if rem := time.Until(dl); rem > 0 {
 			nq.Set("timeout", rem.String())
@@ -374,7 +305,7 @@ func (r *Router) handleCount(w http.ResponseWriter, req *http.Request) {
 		total += outs[i].resp.Count
 	}
 	r.writeJSON(w, http.StatusOK, server.SearchResponse{
-		QueryResult: server.QueryResult{Query: p.src, Count: total},
+		QueryResult: server.QueryResult{Query: p.Src, Count: total},
 		TookNS:      time.Since(start).Nanoseconds(),
 	})
 }
@@ -403,7 +334,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 			fmt.Sprintf("batch of %d queries exceeds limit %d", len(breq.Queries), r.cfg.MaxBatch))
 		return
 	}
-	limit, offset, timeout, err := r.boundParams(breq.Limit, breq.Offset, breq.Timeout)
+	limit, offset, timeout, err := server.BoundParams(breq.Limit, breq.Offset, breq.Timeout, r.cfg.MaxMatches)
 	if err != nil {
 		r.fail(w, http.StatusBadRequest, err.Error())
 		return
@@ -411,7 +342,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	if breq.CountOnly {
 		limit, offset = 0, 0
 	}
-	ctx, cancel := r.requestCtx(req, timeout)
+	ctx, cancel := server.RequestCtx(req, timeout, r.cfg.Timeout)
 	defer cancel()
 	start := time.Now()
 	target := searchTarget(limit, offset)
@@ -536,7 +467,7 @@ type RouterStatsResponse struct {
 // handleStats serves GET /stats: every node polled concurrently, the
 // per-group index stats summed into a cluster view.
 func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	ctx, cancel := r.requestCtx(req, 0)
+	ctx, cancel := server.RequestCtx(req, 0, r.cfg.Timeout)
 	defer cancel()
 	byURL := make(map[string]*NodeStats, len(r.nodes))
 	nodes := make([]NodeStats, len(r.nodes))

@@ -81,14 +81,10 @@ func Sync(ctx context.Context, hc *http.Client, leader, dir string) (SyncResult,
 		}
 	}
 	// Publish the manifest byte-for-byte with the engine's own
-	// temp-then-rename, so a reader (or a crash) sees the old manifest
+	// write-then-rename, so a reader (or a crash) sees the old manifest
 	// or the new one, nothing in between. Tombstones ride along: they
 	// live in the manifest, not the segments.
-	tmp := filepath.Join(dir, ".meta.json.sync")
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return res, err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, core.MetaFileName)); err != nil {
+	if err := core.PublishFile(dir, core.MetaFileName, raw); err != nil {
 		return res, err
 	}
 	res.Changed = true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"os"
 	"path/filepath"
@@ -16,22 +17,61 @@ import (
 )
 
 // buildAll builds one index per coding over the same trees and mss.
-func buildAll(t testing.TB, trees []*lingtree.Tree, mss int) map[postings.Coding]*Index {
+func buildAll(t testing.TB, trees []*lingtree.Tree, mss int) map[postings.Coding]*Live {
 	t.Helper()
-	out := map[postings.Coding]*Index{}
+	out := map[postings.Coding]*Live{}
 	for _, c := range []postings.Coding{postings.FilterBased, postings.RootSplit, postings.SubtreeInterval} {
 		dir := filepath.Join(t.TempDir(), c.String())
 		if _, err := Build(dir, trees, Options{MSS: mss, Coding: c}); err != nil {
 			t.Fatalf("build %v: %v", c, err)
 		}
-		ix, err := Open(dir)
-		if err != nil {
-			t.Fatalf("open %v: %v", c, err)
-		}
-		t.Cleanup(func() { ix.Close() })
-		out[c] = ix
+		out[c] = openLiveDir(t, dir, OpenOptions{})
 	}
 	return out
+}
+
+// openLiveDir opens dir through OpenLive and closes it at test cleanup.
+func openLiveDir(t testing.TB, dir string, opts OpenOptions) *Live {
+	t.Helper()
+	l, err := OpenLive(dir, opts)
+	if err != nil {
+		t.Fatalf("open %s: %v", dir, err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
+// searchAll evaluates q on l without bounds and returns every match;
+// no matches come back as nil, the form groundTruth produces.
+func searchAll(l *Live, q *query.Query) ([]Match, error) {
+	res, err := l.SearchQuery(context.Background(), q, SearchOpts{})
+	if err != nil || len(res.Matches) == 0 {
+		return nil, err
+	}
+	return res.Matches, nil
+}
+
+// searchText is searchAll for query text.
+func searchText(l *Live, src string) ([]Match, error) {
+	res, err := l.Search(context.Background(), src, SearchOpts{})
+	if err != nil || len(res.Matches) == 0 {
+		return nil, err
+	}
+	return res.Matches, nil
+}
+
+// searchBatch evaluates srcs as one unbounded batch on l and returns
+// each query's matches.
+func searchBatch(l *Live, srcs []string) ([][]Match, error) {
+	results, err := l.SearchBatch(context.Background(), srcs, SearchOpts{})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]Match, len(results))
+	for i, r := range results {
+		out[i] = r.Matches
+	}
+	return out, nil
 }
 
 // groundTruth computes matches with the exact matcher.
@@ -80,7 +120,7 @@ func TestAllCodingsMatchGroundTruth(t *testing.T) {
 			}
 			want := groundTruth(trees, q)
 			for coding, ix := range indexes {
-				got, err := ix.Query(q)
+				got, err := searchAll(ix, q)
 				if err != nil {
 					t.Fatalf("mss=%d %v query %q: %v", mss, coding, qs, err)
 				}
@@ -147,17 +187,18 @@ func TestQueryStats(t *testing.T) {
 	indexes := buildAll(t, trees, 2)
 	q := query.MustParse("S(NP(DT))(VP)")
 	for coding, ix := range indexes {
-		_, st, err := ix.QueryWithStats(q)
+		res, err := ix.SearchQuery(context.Background(), q, SearchOpts{Explain: true})
 		if err != nil {
 			t.Fatalf("%v: %v", coding, err)
 		}
-		if st.Pieces < 2 {
-			t.Errorf("%v: pieces = %d", coding, st.Pieces)
+		st := res.Stats
+		if len(st.Pieces) < 2 {
+			t.Errorf("%v: pieces = %d", coding, len(st.Pieces))
 		}
-		if st.PostingsFetched == 0 {
+		if st.PostingFetches == 0 {
 			t.Errorf("%v: no postings fetched", coding)
 		}
-		if coding == postings.FilterBased && st.Validated == 0 {
+		if coding == postings.FilterBased && st.JoinRows == 0 {
 			t.Errorf("filter coding validated no trees")
 		}
 	}
@@ -215,7 +256,7 @@ func TestBuildRejectsBadOptions(t *testing.T) {
 }
 
 func TestOpenMissing(t *testing.T) {
-	if _, err := Open(t.TempDir()); err == nil {
+	if _, err := OpenWith(t.TempDir(), OpenOptions{}); err == nil {
 		t.Error("want error opening empty dir")
 	}
 }
@@ -247,12 +288,7 @@ func TestParallelBuildIdenticalToSequential(t *testing.T) {
 		t.Error("parallel build produced a different index file")
 	}
 	// And the parallel-built index answers queries.
-	ix, err := Open(parDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	ms, err := ix.Query(query.MustParse("NP(DT)"))
+	ms, err := searchAll(openLiveDir(t, parDir, OpenOptions{}), query.MustParse("NP(DT)"))
 	if err != nil || len(ms) == 0 {
 		t.Errorf("parallel index query: %d matches, %v", len(ms), err)
 	}

@@ -15,18 +15,17 @@ import (
 	"repro/internal/match"
 	"repro/internal/planner"
 	"repro/internal/postings"
-	"repro/internal/query"
 	"repro/internal/subtree"
 	"repro/internal/treebank"
 )
 
-// Index is an opened, read-only Subtree Index.
+// Index is one opened, read-only single-directory Subtree Index — a
+// leaf. It has no query surface of its own: Live runs compiled plans
+// on its leaves through leafSet.
 type Index struct {
-	dir     string
 	meta    Meta
 	tree    *btree.Tree
 	store   *treebank.Store
-	plans   *compiler
 	fetches atomic.Uint64 // physical posting-list reads issued by query evaluation
 }
 
@@ -89,21 +88,19 @@ func readMeta(dir string) (Meta, error) {
 	return meta, nil
 }
 
-// Open opens the single-directory index stored in dir without a page
-// cache. For an index that may be sharded, use OpenAny.
-func Open(dir string) (*Index, error) { return OpenWith(dir, OpenOptions{}) }
-
-// OpenWith opens the single-directory index stored in dir.
+// OpenWith opens the single-directory index stored in dir as one
+// leaf, refusing sharded and segmented roots. To query an index of any
+// layout, use OpenLive.
 func OpenWith(dir string, opts OpenOptions) (*Index, error) {
 	meta, err := readMeta(dir)
 	if err != nil {
 		return nil, err
 	}
 	if meta.Shards > 0 {
-		return nil, fmt.Errorf("core: %s is a sharded index root (%d shards); use OpenSharded or OpenAny", dir, meta.Shards)
+		return nil, fmt.Errorf("core: %s is a sharded index root (%d shards); use OpenLive", dir, meta.Shards)
 	}
 	if meta.FormatVersion == FormatSegmented {
-		return nil, fmt.Errorf("core: %s is a segmented index root (%d segments); use OpenLive or OpenAny", dir, len(meta.Segments))
+		return nil, fmt.Errorf("core: %s is a segmented index root (%d segments); use OpenLive", dir, len(meta.Segments))
 	}
 	tr, err := btree.OpenWith(filepath.Join(dir, indexFileName),
 		btree.Options{CacheBytes: opts.CacheSize, Mmap: opts.Mmap != MmapOff})
@@ -115,8 +112,7 @@ func OpenWith(dir string, opts OpenOptions) (*Index, error) {
 		tr.Close()
 		return nil, err
 	}
-	return &Index{dir: dir, meta: meta, tree: tr, store: store,
-		plans: newCompiler(meta, opts.PlanCache)}, nil
+	return &Index{meta: meta, tree: tr, store: store}, nil
 }
 
 // Meta returns the index metadata recorded at build time.
@@ -132,14 +128,8 @@ func (ix *Index) Close() error {
 	return err2
 }
 
-// QueryStats reports how a query was evaluated; the decomposition
-// experiments (Table 3) and the planner tests read it.
+// QueryStats reports the work of one plan evaluation on one leaf.
 type QueryStats struct {
-	Pieces          int // cover pieces over all components
-	Joins           int // joins performed (pieces - 1 when matched)
-	PostingsFetched int // total postings read from the index
-	Candidates      int // filter-based only: tids surviving intersection
-	Validated       int // filter-based only: trees fetched and matched
 	// JoinRows measures evaluation work: posting entries decoded plus
 	// intermediate rows produced by join steps (join.Info.Rows); for
 	// the filter coding it is the number of trees validated. A bounded
@@ -179,11 +169,10 @@ type Counters struct {
 	// — they move in both directions as updates and compactions land.
 	LiveTrees int `json:"live_trees"`
 	// TombstonedTrees is the number of logically deleted trees still
-	// stored in segments — the reclaim debt a compaction clears. Always
-	// 0 on non-live handles.
+	// stored in segments — the reclaim debt a compaction clears.
 	TombstonedTrees int `json:"tombstoned_trees"`
 	// Segments is the number of live segments queries fan out over
-	// (1 for single-directory and sharded handles).
+	// (1 for a single-directory or sharded root not yet appended to).
 	Segments int `json:"segments"`
 	// SegmentBytes is the on-disk footprint of the live segment set:
 	// index plus data bytes, tombstoned trees included until compaction
@@ -195,76 +184,9 @@ type Counters struct {
 	MmapLeaves int `json:"mmap_leaves"`
 }
 
-// Counters returns the handle's cumulative serving counters and
-// point-in-time lifecycle gauges.
-func (ix *Index) Counters() Counters {
-	hits, misses := ix.plans.counters()
-	replans, est, act := ix.plans.plannerCounters()
-	mapped := 0
-	if ix.tree.Mapped() {
-		mapped = 1
-	}
-	return Counters{
-		PostingFetches:    ix.fetches.Load(),
-		PlanCacheHits:     hits,
-		PlanCacheMisses:   misses,
-		PlanReplans:       replans,
-		PlanEstimatedRows: est,
-		PlanActualRows:    act,
-		LiveTrees:         ix.meta.NumTrees,
-		Segments:          1,
-		SegmentBytes:      ix.meta.IndexBytes + ix.meta.DataBytes,
-		MmapLeaves:        mapped,
-	}
-}
-
 // Mapped reports whether the index leaf is served from a memory
 // mapping.
 func (ix *Index) Mapped() bool { return ix.tree.Mapped() }
-
-// Query evaluates q and returns its matches sorted by (tid, root pre).
-func (ix *Index) Query(q *query.Query) ([]Match, error) {
-	ms, _, err := ix.QueryWithStats(q)
-	return ms, err
-}
-
-// QueryText parses src (through the plan cache, when enabled) and
-// evaluates it; a repeated query string skips parse and decomposition.
-func (ix *Index) QueryText(src string) ([]Match, error) {
-	pl, _, err := ix.plans.planText(src)
-	if err != nil {
-		return nil, err
-	}
-	ms, _, _, err := ix.evalPlan(context.Background(), pl, ix.getPosting, evalOpts{})
-	return ms, err
-}
-
-// QueryWithStats evaluates q and also reports evaluation statistics.
-func (ix *Index) QueryWithStats(q *query.Query) ([]Match, *QueryStats, error) {
-	if q.Size() == 0 {
-		return nil, nil, fmt.Errorf("core: empty query")
-	}
-	pl, _, err := ix.plans.planQuery(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	ms, _, st, err := ix.evalPlan(context.Background(), pl, ix.getPosting, evalOpts{})
-	return ms, st, err
-}
-
-// QueryTextBatch evaluates a batch of textual queries with shared
-// posting fetches: all queries are planned first (deduplicating work
-// through the plan cache), then each distinct cover key's posting list
-// is read once for the whole batch. Results are per query, identical
-// to running QueryText on each element.
-func (ix *Index) QueryTextBatch(srcs []string) ([][]Match, error) {
-	plans, _, err := ix.plans.planBatch(srcs)
-	if err != nil {
-		return nil, err
-	}
-	out, _, _, err := ix.evalPlans(context.Background(), plans, ix.getPosting, false, nil)
-	return out, err
-}
 
 // evalPlans evaluates compiled plans against this index with a shared
 // memoized posting getter, returning per-plan matches and counts plus
@@ -536,7 +458,6 @@ func (ix *Index) fetchPiece(pp PlanPiece, get postingGetter, dels *TombSet, aren
 // positions, so the join layer sees the same input regardless of fetch
 // order.
 func (ix *Index) evalJoin(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) ([]Match, int, *QueryStats, error) {
-	st := &QueryStats{Pieces: len(pl.Pieces)}
 	rels := make([]join.Relation, len(pl.Pieces))
 	var arena postings.RefArena // per-evaluation: rels die with the matches
 	fetchOrder := pl.Order
@@ -556,13 +477,11 @@ func (ix *Index) evalJoin(ctx context.Context, pl *Plan, get postingGetter, ev e
 			return nil, 0, nil, err
 		}
 		if !found || len(rel.Entries) == 0 {
-			return nil, 0, st, nil // a piece with no live postings: no matches
+			return nil, 0, &QueryStats{}, nil // a piece with no live postings: no matches
 		}
-		st.PostingsFetched += len(rel.Entries)
 		ev.notePieceRead(pi, len(rel.Entries))
 		rels[pi] = rel
 	}
-	st.Joins = len(rels) - 1
 	ms, info, err := join.Run(ctx, pl.Query, rels, join.Options{
 		CountOnly: ev.countOnly,
 		Order:     pl.Order,
@@ -571,20 +490,18 @@ func (ix *Index) evalJoin(ctx context.Context, pl *Plan, get postingGetter, ev e
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	st.JoinRows = info.Rows
-	return ms, info.Count, st, nil
+	return ms, info.Count, &QueryStats{JoinRows: info.Rows}, nil
 }
 
 // filterCandidates runs the filter coding's candidate phase, shared by
 // the materialized and streaming paths: fetch each piece's tid list
-// (skipping tombstoned tids), intersect, and report the phase's stats.
+// (skipping tombstoned tids) and intersect.
 // Lists are fetched in the plan's cost order (syntactic on uncosted
 // plans) and the phase aborts as soon as one comes back absent or empty
 // — the intersection is already known to be empty, so the remaining,
 // larger lists are never read. found=false means no matches are
-// possible; st is valid either way.
-func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (cands []uint32, st *QueryStats, found bool, err error) {
-	st = &QueryStats{Pieces: len(pl.Pieces)}
+// possible.
+func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (cands []uint32, found bool, err error) {
 	fetchOrder := pl.Order
 	if len(fetchOrder) != len(pl.Pieces) {
 		fetchOrder = nil
@@ -597,18 +514,18 @@ func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGett
 		}
 		pp := pl.Pieces[pi]
 		if err := ctx.Err(); err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
 		val, ok, err := get(pp.Key)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
 		if !ok {
-			return nil, st, false, nil
+			return nil, false, nil
 		}
 		_, n := binary.Uvarint(val)
 		if n <= 0 {
-			return nil, nil, false, fmt.Errorf("core: corrupt posting count for %q", pp.Key)
+			return nil, false, fmt.Errorf("core: corrupt posting count for %q", pp.Key)
 		}
 		var tids []uint32
 		decoded := 0
@@ -619,7 +536,7 @@ func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGett
 			// mid-list instead of after the full scan.
 			if decoded++; decoded&1023 == 0 {
 				if err := ctx.Err(); err != nil {
-					return nil, nil, false, err
+					return nil, false, err
 				}
 			}
 			if ev.dels.Has(it.TID()) {
@@ -628,19 +545,15 @@ func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGett
 			tids = append(tids, it.TID())
 		}
 		if err := it.Err(); err != nil {
-			return nil, nil, false, err
+			return nil, false, err
 		}
-		st.PostingsFetched += len(tids)
 		ev.notePieceRead(pi, len(tids))
 		if len(tids) == 0 {
-			return nil, st, false, nil // empty list: empty intersection
+			return nil, false, nil // empty list: empty intersection
 		}
 		lists = append(lists, tids)
 	}
-	st.Joins = len(lists) - 1
-	cands = intersect(lists)
-	st.Candidates = len(cands)
-	return cands, st, true, nil
+	return intersect(lists), true, nil
 }
 
 // evalFilter evaluates a plan under filter-based coding: intersect tid
@@ -650,12 +563,12 @@ func (ix *Index) filterCandidates(ctx context.Context, pl *Plan, get postingGett
 // validation dominates this coding's cost, so an expired ctx stops the
 // scan within one tree's worth of work.
 func (ix *Index) evalFilter(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) ([]Match, int, *QueryStats, error) {
-	cands, st, found, err := ix.filterCandidates(ctx, pl, get, ev)
+	cands, found, err := ix.filterCandidates(ctx, pl, get, ev)
 	if err != nil {
 		return nil, 0, nil, err
 	}
 	if !found {
-		return nil, 0, st, nil
+		return nil, 0, &QueryStats{}, nil
 	}
 
 	m := match.New(pl.Query)
@@ -669,7 +582,6 @@ func (ix *Index) evalFilter(ctx context.Context, pl *Plan, get postingGetter, ev
 		if err != nil {
 			return nil, 0, nil, err
 		}
-		st.Validated++
 		roots := m.Roots(t)
 		count += len(roots)
 		if ev.countOnly {
@@ -679,8 +591,7 @@ func (ix *Index) evalFilter(ctx context.Context, pl *Plan, get postingGetter, ev
 			out = append(out, Match{TID: tid, Root: uint32(root)})
 		}
 	}
-	st.JoinRows = st.Validated
-	return out, count, st, nil
+	return out, count, &QueryStats{JoinRows: len(cands)}, nil
 }
 
 // intersect computes the intersection of sorted tid lists, smallest
@@ -728,16 +639,11 @@ func intersect2(a, b []uint32) []uint32 {
 	return out
 }
 
-// LookupKey returns the posting count for an index key, or 0 if absent;
-// range statistics and the grammar-mining example use it.
-func (ix *Index) LookupKey(k subtree.Key) (int, error) {
-	return ix.lookupKeyLive(k, nil)
-}
-
-// lookupKeyLive is LookupKey filtered by a tombstone set: with dels
-// non-nil the posting payload is decoded and only records of surviving
-// trees counted — the count a rebuild of the survivors would store.
-func (ix *Index) lookupKeyLive(k subtree.Key, dels *TombSet) (int, error) {
+// lookupKey returns the posting count for an index key, or 0 if
+// absent. With dels non-nil the posting payload is decoded and only
+// records of surviving trees counted — the count a rebuild of the
+// survivors would store.
+func (ix *Index) lookupKey(k subtree.Key, dels *TombSet) (int, error) {
 	val, found, err := ix.tree.Get([]byte(k))
 	if err != nil || !found {
 		return 0, err
@@ -793,38 +699,15 @@ func (ix *Index) liveCount(payload []byte, dels *TombSet) (int, error) {
 	return live, nil
 }
 
-// Keys iterates all index keys from start (nil = beginning), invoking
-// fn with each key and its posting count until fn returns false.
-func (ix *Index) Keys(start subtree.Key, fn func(k subtree.Key, count int) bool) error {
-	it := ix.tree.Iterator([]byte(start))
-	for it.Next() {
-		count, n := binary.Uvarint(it.Value())
-		if n <= 0 {
-			return fmt.Errorf("core: corrupt posting count for %q", it.Key())
-		}
-		if !fn(subtree.Key(it.Key()), int(count)) {
-			return nil
-		}
-	}
-	return it.Err()
-}
-
-// Store exposes the underlying data file (read-only), for tools and
-// baselines that need raw trees.
-func (ix *Index) Store() *treebank.Store { return ix.store }
-
 // Tree fetches indexed tree tid from the data file.
 func (ix *Index) Tree(tid int) (*lingtree.Tree, error) { return ix.store.Tree(tid) }
 
-// NumShards reports the partition count: always 1 for a single index.
-func (ix *Index) NumShards() int { return 1 }
-
-// KeyIter is a pull-style cursor over (key, posting count) pairs in
-// ascending key order; the sharded merge drives one per shard. With a
-// tombstone set attached (the live-index merge), counts are live
-// posting counts and keys whose postings are all tombstoned are
-// skipped — the iteration a rebuild of the survivors would produce.
-type KeyIter struct {
+// keyIter is a pull-style cursor over (key, posting count) pairs in
+// ascending key order; leafSet's key merge drives one per leaf. With a
+// tombstone set attached, counts are live posting counts and keys
+// whose postings are all tombstoned are skipped — the iteration a
+// rebuild of the survivors would produce.
+type keyIter struct {
 	ix    *Index
 	it    *btree.Iterator
 	dels  *TombSet
@@ -833,19 +716,15 @@ type KeyIter struct {
 	err   error
 }
 
-// KeyIter returns a cursor positioned before the first key >= start
-// ("" = first key overall). Call Next to advance.
-func (ix *Index) KeyIter(start subtree.Key) *KeyIter {
-	return ix.keyIterLive(start, nil)
-}
-
-// keyIterLive is KeyIter filtered by a tombstone set (nil = none).
-func (ix *Index) keyIterLive(start subtree.Key, dels *TombSet) *KeyIter {
-	return &KeyIter{ix: ix, it: ix.tree.Iterator([]byte(start)), dels: dels}
+// keyIter returns a cursor positioned before the first key >= start
+// ("" = first key overall), filtered by dels (nil = none). Call Next
+// to advance.
+func (ix *Index) keyIter(start subtree.Key, dels *TombSet) *keyIter {
+	return &keyIter{ix: ix, it: ix.tree.Iterator([]byte(start)), dels: dels}
 }
 
 // Next advances to the next key, returning false at the end or on error.
-func (k *KeyIter) Next() bool {
+func (k *keyIter) Next() bool {
 	for {
 		if k.err != nil || !k.it.Next() {
 			if k.err == nil {
@@ -875,10 +754,10 @@ func (k *KeyIter) Next() bool {
 }
 
 // Key returns the current key; valid after a true Next.
-func (k *KeyIter) Key() subtree.Key { return k.key }
+func (k *keyIter) Key() subtree.Key { return k.key }
 
 // Count returns the current key's posting count.
-func (k *KeyIter) Count() int { return k.count }
+func (k *keyIter) Count() int { return k.count }
 
 // Err reports any error encountered while iterating.
-func (k *KeyIter) Err() error { return k.err }
+func (k *keyIter) Err() error { return k.err }

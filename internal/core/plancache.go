@@ -158,9 +158,8 @@ func (c *planCache) purge() []string {
 
 // compiler turns query text into cost-annotated plans for one index
 // configuration, optionally through a planCache — the entry point of
-// the decompose → plan → execute pipeline. Index and Sharded each
-// embed one; in a sharded index only the root's compiler is consulted,
-// since all shards share MSS, coding and statistics and therefore
+// the decompose → plan → execute pipeline. Live holds one at the
+// root; every leaf shares MSS, coding and statistics and therefore
 // plans. Each planQuery or planText call records exactly one cache hit
 // or miss.
 //

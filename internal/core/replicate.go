@@ -11,11 +11,10 @@ import (
 // cluster layer: the exported pieces a follower needs to pull a
 // published segment set over HTTP — the on-disk file names, the set of
 // payload files a segment carries, and the validation of
-// segment-relative paths a node may serve — plus the merge helpers a
-// router needs to combine per-node results with exactly the semantics
-// of the in-process leafSet engine (see internal/cluster). Keeping
-// them here means the wire layout can never drift from the index
-// layout: both sides read the same constants.
+// segment-relative paths a node may serve. (The router's merge uses the
+// engine's own Rebase and ShardBounds.) Keeping them here means the
+// wire layout can never drift from the index layout: both sides read
+// the same constants.
 
 // Exported on-disk file names of one index leaf. A segment directory
 // is either one leaf (these three files plus its meta.json) or a set
@@ -72,24 +71,3 @@ func SegmentPayload(meta Meta) ([]string, error) {
 	}
 	return files, nil
 }
-
-// Rebase appends ms to dst with each match's leaf-local tid shifted to
-// the global range starting at base — the one merge step of the
-// partition-then-concatenate execution model, exported so a router
-// merging per-node windows applies exactly the in-process semantics.
-func Rebase(dst []Match, ms []Match, base uint32) []Match { return rebase(dst, ms, base) }
-
-// Window applies opts.Offset and opts.Limit to fully materialized,
-// globally sorted matches, returning the requested slice, the number
-// of matches found, and whether trailing matches were cut off —
-// exported for the cluster router so its window semantics are the
-// engine's own.
-func Window(ms []Match, opts SearchOpts) (out []Match, found int, truncated bool) {
-	return window(ms, opts)
-}
-
-// ShardBounds splits n trees into the contiguous tid ranges the
-// sharded build uses (shards+1 entries, sizes differing by at most
-// one). Exported so cluster tooling can partition a corpus over nodes
-// at exactly the boundaries a local sharded build would choose.
-func ShardBounds(n, shards int) []int { return shardBounds(n, shards) }

@@ -8,14 +8,12 @@ import (
 	"sync/atomic"
 
 	"repro/internal/planner"
-	"repro/internal/query"
 	"repro/internal/subtree"
 )
 
-// This file is the v2 search execution path: context-first,
-// options-carrying, limit-aware. The legacy Query/QueryText methods
-// are thin wrappers over the same machinery with a background context
-// and no bounds. The shape follows production code-search engines
+// This file is the search execution path behind Live: context-first,
+// options-carrying, limit-aware, run by leafSet over the leaves of the
+// current epoch. The shape follows production code-search engines
 // (zoekt's Searcher takes ctx + SearchOptions with display limits):
 // callers say how many matches they need and how long they will wait,
 // and the engine stops fetching posting pages once the demand is met.
@@ -140,7 +138,7 @@ func planStats(stats *SearchStats, pl *Plan, reads []atomic.Uint64, streamed boo
 	}
 }
 
-// Result is the outcome of one v2 search. Search returns it fully
+// Result is the outcome of one search. Search returns it fully
 // materialized; SearchStream returns it *pending* — Matches stays nil,
 // All() pulls matches out of the still-running evaluation, and Count
 // and Stats are finalized when that iteration ends.
@@ -225,10 +223,12 @@ func window(ms []Match, opts SearchOpts) (out []Match, found int, truncated bool
 	return out, found, truncated
 }
 
-// rebase appends ms to dst with each match's local shard tid shifted
-// to the global range starting at base — the one merge step shared by
-// the lazy, fan-out and batch shard paths.
-func rebase(dst []Match, ms []Match, base uint32) []Match {
+// Rebase appends ms to dst with each match's leaf-local tid shifted to
+// the global range starting at base — the one merge step of the
+// partition-then-concatenate execution model, shared by the lazy,
+// fan-out and batch leaf paths and exported so a router merging
+// per-node windows applies exactly the in-process semantics.
+func Rebase(dst []Match, ms []Match, base uint32) []Match {
 	for _, m := range ms {
 		dst = append(dst, Match{TID: m.TID + base, Root: m.Root})
 	}
@@ -243,81 +243,6 @@ func countingGetter(get postingGetter, n *uint64) postingGetter {
 		*n++
 		return get(k)
 	}
-}
-
-// Search parses src (through the plan cache, when enabled) and
-// evaluates it under ctx with the given bounds.
-func (ix *Index) Search(ctx context.Context, src string, opts SearchOpts) (*Result, error) {
-	pl, hit, err := ix.plans.planText(src)
-	if err != nil {
-		return nil, err
-	}
-	return ix.searchPlan(ctx, pl, opts, hit)
-}
-
-// SearchQuery evaluates an already-parsed query under ctx with the
-// given bounds.
-func (ix *Index) SearchQuery(ctx context.Context, q *query.Query, opts SearchOpts) (*Result, error) {
-	if q.Size() == 0 {
-		return nil, fmt.Errorf("core: empty query")
-	}
-	pl, hit, err := ix.plans.planQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	return ix.searchPlan(ctx, pl, opts, hit)
-}
-
-// searchPlan runs one compiled plan on this single-directory index.
-// A bounded search (Limit set) evaluates through the streaming join,
-// which stops decoding postings and producing join rows once
-// Offset+Limit matches exist — early termination *inside* the shard;
-// unbounded and count-only searches evaluate in one piece.
-func (ix *Index) searchPlan(ctx context.Context, pl *Plan, opts SearchOpts, hit bool) (*Result, error) {
-	var fetched uint64
-	get := countingGetter(ix.getPosting, &fetched)
-	ev := evalOpts{countOnly: opts.CountOnly}
-	if !opts.CountOnly {
-		ev.target = opts.target()
-	}
-	if opts.Explain {
-		ev.pieceReads = make([]atomic.Uint64, len(pl.Pieces))
-	}
-	ms, n, st, err := ix.evalPlan(ctx, pl, get, ev)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Stats: SearchStats{PlanCacheHit: hit, ShardsConsulted: 1}}
-	if opts.CountOnly {
-		res.Count = n
-	} else {
-		res.Matches, res.Count, res.Stats.Truncated = window(ms, opts)
-	}
-	res.Stats.PostingFetches = fetched
-	if st != nil {
-		res.Stats.JoinRows = uint64(st.JoinRows)
-	}
-	planStats(&res.Stats, pl, ev.pieceReads, ev.target > 0)
-	ix.plans.observePlan(pl, res.Count)
-	return res, nil
-}
-
-// SearchBatch evaluates a batch of textual queries under ctx with
-// shared posting fetches; results keep query order and each is
-// identical to Search on that element (batches do not early-terminate
-// — sharing fetches across the batch is their optimization). The
-// per-result Stats report the whole batch's fetch total.
-func (ix *Index) SearchBatch(ctx context.Context, srcs []string, opts SearchOpts) ([]*Result, error) {
-	plans, hits, err := ix.plans.planBatch(srcs)
-	if err != nil {
-		return nil, err
-	}
-	var fetched uint64
-	mss, counts, rows, err := ix.evalPlans(ctx, plans, countingGetter(ix.getPosting, &fetched), opts.CountOnly, nil)
-	if err != nil {
-		return nil, err
-	}
-	return batchResults(mss, counts, hits, opts, fetched, rows, 1), nil
 }
 
 // batchResults shapes per-plan batch outputs into windowed Results.
@@ -340,37 +265,6 @@ func batchResults(mss [][]Match, counts []int, hits []bool, opts SearchOpts, fet
 		out[i] = r
 	}
 	return out
-}
-
-// Search parses src (through the root's plan cache, when enabled) and
-// evaluates it across the shards under ctx with the given bounds.
-func (s *Sharded) Search(ctx context.Context, src string, opts SearchOpts) (*Result, error) {
-	pl, hit, err := s.plans.planText(src)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.set.searchPlan(ctx, pl, opts, hit)
-	if err == nil {
-		s.plans.observePlan(pl, res.Count)
-	}
-	return res, err
-}
-
-// SearchQuery evaluates an already-parsed query across the shards
-// under ctx with the given bounds.
-func (s *Sharded) SearchQuery(ctx context.Context, q *query.Query, opts SearchOpts) (*Result, error) {
-	if q.Size() == 0 {
-		return nil, fmt.Errorf("core: empty query")
-	}
-	pl, hit, err := s.plans.planQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.set.searchPlan(ctx, pl, opts, hit)
-	if err == nil {
-		s.plans.observePlan(pl, res.Count)
-	}
-	return res, err
 }
 
 // searchPlan runs one compiled plan across the leaves, choosing the
@@ -464,7 +358,7 @@ func (ls leafSet) searchLazy(ctx context.Context, pl *Plan, opts SearchOpts, hit
 		// count even once the window is satisfied (or a later shard's
 		// error was skipped): the window itself only ever uses the
 		// leading matches, which predate any skipped shard.
-		all = rebase(all, o.ms, ls.offsets[i])
+		all = Rebase(all, o.ms, ls.offsets[i])
 		consulted++
 		if len(all) >= target {
 			satisfied = true
@@ -535,23 +429,10 @@ func (ls leafSet) searchFanout(ctx context.Context, pl *Plan, opts SearchOpts, h
 	}
 	all := make([]Match, 0, total)
 	for i := range outs {
-		all = rebase(all, outs[i].ms, ls.offsets[i])
+		all = Rebase(all, outs[i].ms, ls.offsets[i])
 	}
 	res.Matches, res.Count, res.Stats.Truncated = window(all, opts)
 	return res, nil
-}
-
-// SearchBatch evaluates a batch of textual queries across the shards
-// under ctx: planned once at the root, then every shard evaluates the
-// whole batch concurrently with per-shard fetch dedup. Bounds apply
-// per query at the merge; batches do not early-terminate across
-// shards. The per-result Stats report the whole batch's fetch total.
-func (s *Sharded) SearchBatch(ctx context.Context, srcs []string, opts SearchOpts) ([]*Result, error) {
-	plans, hits, err := s.plans.planBatch(srcs)
-	if err != nil {
-		return nil, err
-	}
-	return s.set.searchBatchPlans(ctx, plans, hits, opts)
 }
 
 // searchBatchPlans evaluates pre-compiled batch plans on every leaf
@@ -598,40 +479,11 @@ func (ls leafSet) searchBatchPlans(ctx context.Context, plans []*Plan, hits []bo
 		}
 		all := make([]Match, 0, total)
 		for i := range outs {
-			all = rebase(all, outs[i].ms[qi], ls.offsets[i])
+			all = Rebase(all, outs[i].ms[qi], ls.offsets[i])
 		}
 		merged[qi] = all
 	}
 	return batchResults(merged, counts, hits, opts, fetched, rows, len(ls.leaves)), nil
-}
-
-// SearchStream parses src and returns a *pending* Result: evaluation
-// advances only as the caller iterates Result.All, with the first
-// match available while the join is still running. Shards are
-// consulted strictly in tid order, one at a time, each through the
-// streaming join — a consumer that stops early (or a Limit that is
-// reached) leaves later shards unopened and later postings undecoded.
-// Count and Stats are finalized when the iteration ends. CountOnly is
-// rejected: counting is a materializing operation (use Search).
-func (s *Sharded) SearchStream(ctx context.Context, src string, opts SearchOpts) (*Result, error) {
-	pl, hit, err := s.plans.planText(src)
-	if err != nil {
-		return nil, err
-	}
-	return newStreamResult(ctx, s.set, pl, opts, hit)
-}
-
-// SearchStream on a single-directory index: as Sharded.SearchStream,
-// with the one directory as the only "shard".
-func (ix *Index) SearchStream(ctx context.Context, src string, opts SearchOpts) (*Result, error) {
-	pl, hit, err := ix.plans.planText(src)
-	if err != nil {
-		return nil, err
-	}
-	return newStreamResult(ctx, leafSet{
-		leaves:  []*Index{ix},
-		offsets: []uint32{0, uint32(ix.meta.NumTrees)},
-	}, pl, opts, hit)
 }
 
 // resultStream is the engine behind a pending Result: a cursor over

@@ -125,11 +125,11 @@ type liveInfo struct {
 // Live is an opened index that supports live updates: Append builds
 // new trees into a fresh segment and publishes it without interrupting
 // searches, and Reload picks up segments published by another process.
-// It serves any index layout — single-directory, sharded or segmented
-// — behind the same Handle interface as Index and Sharded, with
-// identical results and per-query costs. All read methods are safe for
-// concurrent use with each other and with Append/Reload; Append,
-// Reload and Close serialize among themselves.
+// It is the one query handle: it serves any index layout —
+// single-directory, sharded or segmented — with identical results and
+// per-query costs, a plain root running as one unpromoted segment. All
+// read methods are safe for concurrent use with each other and with
+// Append/Reload; Append, Reload and Close serialize among themselves.
 type Live struct {
 	dir      string
 	leafOpts OpenOptions // per-leaf options (plan cache lives at the root)
@@ -164,9 +164,9 @@ type Live struct {
 }
 
 // OpenLive opens the index stored in dir — segmented, sharded or
-// single-directory — as a live-updatable handle. opts apply as in
-// OpenSharded: CacheSize is a per-leaf budget and the plan cache lives
-// once at the root.
+// single-directory — as a live-updatable handle. CacheSize is a
+// per-leaf budget; the plan cache lives once at the root, since every
+// leaf shares MSS and coding and so runs the same compiled plans.
 func OpenLive(dir string, opts OpenOptions) (*Live, error) {
 	meta, err := readMeta(dir)
 	if err != nil {
@@ -508,16 +508,7 @@ func (l *Live) Search(ctx context.Context, src string, opts SearchOpts) (*Result
 	if err != nil {
 		return nil, err
 	}
-	e, err := l.pin()
-	if err != nil {
-		return nil, err
-	}
-	defer e.release()
-	res, err := e.set.searchPlan(ctx, pl, opts, hit)
-	if err == nil {
-		l.plans.observePlan(pl, res.Count)
-	}
-	return res, err
+	return l.searchPlan(ctx, pl, opts, hit)
 }
 
 // SearchQuery evaluates an already-parsed query across the live
@@ -530,6 +521,12 @@ func (l *Live) SearchQuery(ctx context.Context, q *query.Query, opts SearchOpts)
 	if err != nil {
 		return nil, err
 	}
+	return l.searchPlan(ctx, pl, opts, hit)
+}
+
+// searchPlan runs a compiled plan on the current segment set and feeds
+// its match count back to the planner's estimate-error counters.
+func (l *Live) searchPlan(ctx context.Context, pl *Plan, opts SearchOpts, hit bool) (*Result, error) {
 	e, err := l.pin()
 	if err != nil {
 		return nil, err
@@ -542,9 +539,15 @@ func (l *Live) SearchQuery(ctx context.Context, q *query.Query, opts SearchOpts)
 	return res, err
 }
 
-// SearchStream parses src and returns a pending Result over the
-// current segment set (see Sharded.SearchStream for the streaming
-// contract). The epoch pin is held until the All iteration ends —
+// SearchStream parses src and returns a *pending* Result over the
+// current segment set: evaluation advances only as the caller iterates
+// Result.All, with the first match available while the join is still
+// running. Leaves are consulted strictly in tid order, one at a time,
+// each through the streaming join — a consumer that stops early (or a
+// Limit that is reached) leaves later leaves unopened and later
+// postings undecoded. Count and Stats are finalized when the iteration
+// ends. CountOnly is rejected: counting is a materializing operation
+// (use Search). The epoch pin is held until the All iteration ends —
 // also on early break — so a concurrent Append or Close cannot retire
 // the segments mid-stream; an iterator that is never started never
 // releases its pin.
@@ -567,7 +570,12 @@ func (l *Live) SearchStream(ctx context.Context, src string, opts SearchOpts) (*
 }
 
 // SearchBatch evaluates a batch of textual queries across the live
-// segments under ctx (see Sharded.SearchBatch for batch semantics).
+// segments under ctx: planned once at the root, then every leaf
+// evaluates the whole batch concurrently, fetching each distinct cover
+// key's posting list once per leaf. Results keep query order and each
+// equals Search on that element; bounds apply per query at the merge,
+// and batches do not early-terminate. The per-result Stats report the
+// whole batch's fetch total.
 func (l *Live) SearchBatch(ctx context.Context, srcs []string, opts SearchOpts) ([]*Result, error) {
 	plans, hits, err := l.plans.planBatch(srcs)
 	if err != nil {
@@ -579,61 +587,6 @@ func (l *Live) SearchBatch(ctx context.Context, srcs []string, opts SearchOpts) 
 	}
 	defer e.release()
 	return e.set.searchBatchPlans(ctx, plans, hits, opts)
-}
-
-// Query evaluates q across all live segments and returns globally
-// tid-sorted matches.
-func (l *Live) Query(q *query.Query) ([]Match, error) {
-	ms, _, err := l.QueryWithStats(q)
-	return ms, err
-}
-
-// QueryText parses src (through the root's plan cache, when enabled)
-// and evaluates it across all live segments.
-func (l *Live) QueryText(src string) ([]Match, error) {
-	pl, _, err := l.plans.planText(src)
-	if err != nil {
-		return nil, err
-	}
-	e, err := l.pin()
-	if err != nil {
-		return nil, err
-	}
-	defer e.release()
-	ms, _, err := e.set.evalPlanFanout(pl)
-	return ms, err
-}
-
-// QueryWithStats evaluates q across all live segments, reporting
-// summed evaluation statistics.
-func (l *Live) QueryWithStats(q *query.Query) ([]Match, *QueryStats, error) {
-	if q.Size() == 0 {
-		return nil, nil, fmt.Errorf("core: empty query")
-	}
-	pl, _, err := l.plans.planQuery(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	e, err := l.pin()
-	if err != nil {
-		return nil, nil, err
-	}
-	defer e.release()
-	return e.set.evalPlanFanout(pl)
-}
-
-// QueryTextBatch evaluates a batch of textual queries with shared
-// posting fetches, as Sharded.QueryTextBatch.
-func (l *Live) QueryTextBatch(srcs []string) ([][]Match, error) {
-	results, err := l.SearchBatch(context.Background(), srcs, SearchOpts{})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Match, len(results))
-	for i, r := range results {
-		out[i] = r.Matches
-	}
-	return out, nil
 }
 
 // LookupKey sums the key's posting count over all live segments.
@@ -764,7 +717,7 @@ func (l *Live) promoteLocked(sg *segment) error {
 
 // writeManifestLocked publishes the version-3 manifest for segs at
 // generation gen with the given tombstone section (nil omits it, which
-// older readers parse unchanged), atomically (temp file + rename).
+// older readers parse unchanged), atomically (see PublishFile).
 // Callers hold l.mu.
 func (l *Live) writeManifestLocked(gen int, segs []*segment, tombs map[string][]int) error {
 	man := aggregateMeta(segs)
@@ -788,11 +741,7 @@ func (l *Live) writeManifestLocked(gen int, segs []*segment, tombs map[string][]
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(l.dir, metaFileName+".tmp")
-	if err := os.WriteFile(tmp, mb, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(l.dir, metaFileName))
+	return PublishFile(l.dir, metaFileName, mb)
 }
 
 // Reload re-reads the manifest from disk and picks up segments and

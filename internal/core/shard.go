@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -13,7 +12,6 @@ import (
 
 	"repro/internal/lingtree"
 	"repro/internal/planner"
-	"repro/internal/query"
 	"repro/internal/subtree"
 	"repro/internal/treebank"
 )
@@ -21,8 +19,8 @@ import (
 // This file implements the sharding layer over the single-directory
 // Subtree Index: a sharded build partitions the corpus by tid into N
 // contiguous ranges, builds one independent index directory per range
-// concurrently, and a sharded open fans queries out across the shards
-// and merges their tid-sorted results. Because shard s holds the tids
+// concurrently, and Live fans queries out across the shards (through
+// leafSet) and merges their tid-sorted results. Because shard s holds the tids
 // [offset_s, offset_{s+1}), per-shard results only need their shard's
 // base added and concatenated in shard order to be globally sorted —
 // the same partition-then-merge shape zoekt uses for trigram search.
@@ -33,9 +31,11 @@ const MaxShards = 256
 // shardDirName returns the directory name of shard s under the root.
 func shardDirName(s int) string { return fmt.Sprintf("shard-%04d", s) }
 
-// shardBounds splits n trees into shards contiguous ranges differing in
-// size by at most one; bounds has shards+1 entries.
-func shardBounds(n, shards int) []int {
+// ShardBounds splits n trees into shards contiguous tid ranges
+// differing in size by at most one; bounds has shards+1 entries.
+// Cluster tooling partitions a corpus over nodes with it, at exactly
+// the boundaries a local sharded build chooses.
+func ShardBounds(n, shards int) []int {
 	bounds := make([]int, shards+1)
 	base, rem := n/shards, n%shards
 	for s := 0; s < shards; s++ {
@@ -94,7 +94,7 @@ func BuildSharded(dir string, trees []*lingtree.Tree, opt Options, shards int) (
 		return nil, err
 	}
 
-	bounds := shardBounds(len(trees), shards)
+	bounds := ShardBounds(len(trees), shards)
 	metas := make([]*Meta, shards)
 	errs := make([]error, shards)
 	var wg sync.WaitGroup
@@ -210,18 +210,17 @@ func removeStaleSegments(dir string) error {
 	return nil
 }
 
-// leafSet is the execution engine shared by every multi-partition
-// handle: an ordered list of single-directory indexes ("leaves") whose
-// contiguous tid ranges concatenate into the global tid space. Sharded
-// serves one leaf per shard directory; Live serves the concatenation
-// of every segment's leaves — the same merge, one level up. All
-// methods are safe for concurrent use.
+// leafSet is the execution engine behind Live: an ordered list of
+// single-directory indexes ("leaves") whose contiguous tid ranges
+// concatenate into the global tid space — one leaf per shard directory
+// of each segment, in segment order. A single-directory root is a
+// one-leaf set. All methods are safe for concurrent use.
 type leafSet struct {
 	leaves  []*Index
 	offsets []uint32 // offsets[i] = first global tid of leaf i; len = len(leaves)+1
 	// dels holds each leaf's tombstone set, parallel to leaves; a nil
-	// slice (Sharded, single-directory, live epochs without deletes)
-	// means no tombstones anywhere — the hot path stays one nil check.
+	// slice (an epoch without deletes) means no tombstones anywhere —
+	// the hot path stays one nil check.
 	dels []*TombSet
 }
 
@@ -271,7 +270,7 @@ func (ls leafSet) lookupKey(k subtree.Key) (int, error) {
 		wg.Add(1)
 		go func(i int, sh *Index) {
 			defer wg.Done()
-			counts[i], errs[i] = sh.lookupKeyLive(k, ls.del(i))
+			counts[i], errs[i] = sh.lookupKey(k, ls.del(i))
 		}(i, sh)
 	}
 	wg.Wait()
@@ -290,10 +289,10 @@ func (ls leafSet) lookupKey(k subtree.Key) (int, error) {
 // lookupKey; keys whose postings are all tombstoned vanish), until fn
 // returns false.
 func (ls leafSet) keys(start subtree.Key, fn func(k subtree.Key, count int) bool) error {
-	iters := make([]*KeyIter, 0, len(ls.leaves))
+	iters := make([]*keyIter, 0, len(ls.leaves))
 	live := make([]bool, 0, len(ls.leaves))
 	for i, sh := range ls.leaves {
-		it := sh.keyIterLive(start, ls.del(i))
+		it := sh.keyIter(start, ls.del(i))
 		ok := it.Next()
 		if err := it.Err(); err != nil {
 			return err
@@ -355,260 +354,39 @@ func (ls leafSet) tree(tid int) (*lingtree.Tree, error) {
 	return &ct, nil
 }
 
-// Sharded is an opened sharded index. All read methods are safe for
-// concurrent use: queries fan out across shards with one goroutine per
-// shard, and the per-shard indexes are themselves concurrency-safe.
-type Sharded struct {
-	dir   string
-	meta  Meta
-	plans *compiler
-	set   leafSet
-}
-
-// OpenSharded opens the sharded index rooted at dir. opts apply to
-// every shard (CacheSize is a per-shard budget), except the plan
-// cache, which lives once at the root: shards share MSS and coding, so
-// one compiled plan serves the whole fan-out.
-func OpenSharded(dir string, opts OpenOptions) (*Sharded, error) {
-	meta, err := readMeta(dir)
-	if err != nil {
-		return nil, err
-	}
-	if meta.Shards < 1 {
-		return nil, fmt.Errorf("core: %s is not a sharded index root", dir)
-	}
-	s := &Sharded{dir: dir, meta: meta, plans: newCompiler(meta, opts.PlanCache)}
-	shardOpts := opts
-	shardOpts.PlanCache = 0 // shards evaluate root-compiled plans
-	s.set.offsets = make([]uint32, 0, meta.Shards+1)
-	s.set.offsets = append(s.set.offsets, 0)
-	for i := 0; i < meta.Shards; i++ {
-		sh, err := OpenWith(filepath.Join(dir, shardDirName(i)), shardOpts)
-		if err != nil {
-			s.Close()
-			return nil, fmt.Errorf("core: opening shard %d of %s: %w", i, dir, err)
-		}
-		s.set.leaves = append(s.set.leaves, sh)
-		s.set.offsets = append(s.set.offsets, s.set.offsets[i]+uint32(sh.Meta().NumTrees))
-	}
-	if int(s.set.offsets[meta.Shards]) != meta.NumTrees {
-		s.Close()
-		return nil, fmt.Errorf("core: shards of %s hold %d trees, meta says %d",
-			dir, s.set.offsets[meta.Shards], meta.NumTrees)
-	}
-	return s, nil
-}
-
-// OpenAny opens dir as a segmented, sharded or single-directory index
-// depending on its meta, behind the Handle interface. Callers that
-// need live updates (Append/Reload) should use OpenLive, which serves
-// any of the three layouts and additionally supports appending.
-func OpenAny(dir string, opts OpenOptions) (Handle, error) {
-	meta, err := readMeta(dir)
-	if err != nil {
-		return nil, err
-	}
-	if meta.FormatVersion == FormatSegmented {
-		return OpenLive(dir, opts)
-	}
-	if meta.Shards > 0 {
-		return OpenSharded(dir, opts)
-	}
-	return OpenWith(dir, opts)
-}
-
-// Handle is the read interface shared by single, sharded and live
-// (segmented) indexes; the public si package works through it. Search,
-// SearchQuery and SearchBatch are the v2 execution path (context-first,
-// limit-aware); the Query* methods are the legacy unbounded wrappers.
-type Handle interface {
-	Meta() Meta
-	Close() error
-	Search(ctx context.Context, src string, opts SearchOpts) (*Result, error)
-	SearchStream(ctx context.Context, src string, opts SearchOpts) (*Result, error)
-	SearchQuery(ctx context.Context, q *query.Query, opts SearchOpts) (*Result, error)
-	SearchBatch(ctx context.Context, srcs []string, opts SearchOpts) ([]*Result, error)
-	Query(q *query.Query) ([]Match, error)
-	QueryText(src string) ([]Match, error)
-	QueryTextBatch(srcs []string) ([][]Match, error)
-	QueryWithStats(q *query.Query) ([]Match, *QueryStats, error)
-	Counters() Counters
-	LookupKey(k subtree.Key) (int, error)
-	Keys(start subtree.Key, fn func(k subtree.Key, count int) bool) error
-	Tree(tid int) (*lingtree.Tree, error)
-	NumShards() int
-}
-
-var (
-	_ Handle = (*Index)(nil)
-	_ Handle = (*Sharded)(nil)
-	_ Handle = (*Live)(nil)
-)
-
-// Meta returns the aggregated metadata of the sharded index.
-func (s *Sharded) Meta() Meta { return s.meta }
-
-// NumShards returns the partition count.
-func (s *Sharded) NumShards() int { return len(s.set.leaves) }
-
-// Shard exposes one partition (tools and tests).
-func (s *Sharded) Shard(i int) *Index { return s.set.leaves[i] }
-
-// Close releases every shard, returning the first error.
-func (s *Sharded) Close() error {
-	var first error
-	for _, sh := range s.set.leaves {
-		if err := sh.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// Query evaluates q across all shards and returns globally tid-sorted
-// matches.
-func (s *Sharded) Query(q *query.Query) ([]Match, error) {
-	ms, _, err := s.QueryWithStats(q)
-	return ms, err
-}
-
-// QueryText parses src (through the root's plan cache, when enabled)
-// and evaluates it across all shards; a repeated query string skips
-// parse and decomposition.
-func (s *Sharded) QueryText(src string) ([]Match, error) {
-	pl, _, err := s.plans.planText(src)
-	if err != nil {
-		return nil, err
-	}
-	ms, _, err := s.set.evalPlanFanout(pl)
-	return ms, err
-}
-
-// QueryWithStats compiles q once (through the plan cache) and fans the
-// plan out with one goroutine per shard, rebasing each shard's local
-// tids and concatenating in shard order — contiguous tid partitioning
-// makes that concatenation the sorted merge. Stats are summed over
-// shards.
-func (s *Sharded) QueryWithStats(q *query.Query) ([]Match, *QueryStats, error) {
-	if q.Size() == 0 {
-		return nil, nil, fmt.Errorf("core: empty query")
-	}
-	pl, _, err := s.plans.planQuery(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.set.evalPlanFanout(pl)
-}
-
-// evalPlanFanout evaluates one compiled plan on every leaf
-// concurrently and merges the tid-rebased results and stats.
-func (ls leafSet) evalPlanFanout(pl *Plan) ([]Match, *QueryStats, error) {
-	type result struct {
-		ms  []Match
-		st  *QueryStats
-		err error
-	}
-	results := make([]result, len(ls.leaves))
-	var wg sync.WaitGroup
-	for i, sh := range ls.leaves {
-		wg.Add(1)
-		go func(i int, sh *Index) {
-			defer wg.Done()
-			ms, _, st, err := sh.evalPlan(context.Background(), pl, sh.getPosting, evalOpts{dels: ls.del(i)})
-			results[i] = result{ms: ms, st: st, err: err}
-		}(i, sh)
-	}
-	wg.Wait()
-
-	total := 0
-	for i := range results {
-		if results[i].err != nil {
-			return nil, nil, fmt.Errorf("core: shard %d: %w", i, results[i].err)
-		}
-		total += len(results[i].ms)
-	}
-	out := make([]Match, 0, total)
-	agg := &QueryStats{}
-	for i := range results {
-		out = rebase(out, results[i].ms, ls.offsets[i])
-		if st := results[i].st; st != nil {
-			// Pieces is a property of the query decomposition, identical
-			// in every leaf — report it once, not leaf-count times.
-			agg.Pieces = st.Pieces
-			agg.Joins += st.Joins
-			agg.PostingsFetched += st.PostingsFetched
-			agg.Candidates += st.Candidates
-			agg.Validated += st.Validated
-		}
-	}
-	return out, agg, nil
-}
-
-// QueryTextBatch evaluates a batch of textual queries: all queries are
-// planned once at the root, then every shard evaluates the whole batch
-// concurrently, fetching each distinct cover key's posting list once
-// per shard. Per-query results are identical to sequential QueryText
-// calls.
-func (s *Sharded) QueryTextBatch(srcs []string) ([][]Match, error) {
-	results, err := s.SearchBatch(context.Background(), srcs, SearchOpts{})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Match, len(results))
-	for i, r := range results {
-		out[i] = r.Matches
-	}
-	return out, nil
-}
-
-// Counters sums the shards' posting-fetch counters, reports the root
-// planner's cache activity, and fills the lifecycle gauges (a sharded
-// handle is one segment with no tombstones).
-func (s *Sharded) Counters() Counters {
-	hits, misses := s.plans.counters()
-	replans, est, act := s.plans.plannerCounters()
-	return Counters{
-		PostingFetches:    s.set.sumFetches(),
-		PlanCacheHits:     hits,
-		PlanCacheMisses:   misses,
-		PlanReplans:       replans,
-		PlanEstimatedRows: est,
-		PlanActualRows:    act,
-		LiveTrees:         s.meta.NumTrees,
-		Segments:          1,
-		SegmentBytes:      s.meta.IndexBytes + s.meta.DataBytes,
-		MmapLeaves:        s.set.mappedLeaves(),
-	}
-}
-
-// LookupKey sums the key's posting count over all shards.
-func (s *Sharded) LookupKey(k subtree.Key) (int, error) { return s.set.lookupKey(k) }
-
-// Keys iterates the union of all shards' keys in ascending order, with
-// per-key posting counts summed across shards (so the counts agree with
-// LookupKey), until fn returns false.
-func (s *Sharded) Keys(start subtree.Key, fn func(k subtree.Key, count int) bool) error {
-	return s.set.keys(start, fn)
-}
-
-// Tree fetches the tree with global tid, routing to the owning shard.
-func (s *Sharded) Tree(tid int) (*lingtree.Tree, error) { return s.set.tree(tid) }
-
-// Stores returns the per-shard tree stores in shard order, with the
-// first global tid of each shard — for tools that scan the raw corpus.
-func (s *Sharded) Stores() ([]*treebank.Store, []uint32) {
-	stores := make([]*treebank.Store, len(s.set.leaves))
-	for i, sh := range s.set.leaves {
-		stores[i] = sh.Store()
-	}
-	return stores, s.set.offsets[:len(s.set.leaves)]
-}
-
-// writeMeta persists meta as dir/meta.json.
+// writeMeta publishes meta as dir/meta.json (see PublishFile).
 func writeMeta(dir string, meta *Meta) error {
 	mb, err := json.MarshalIndent(meta, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, metaFileName), mb, 0o644)
+	return PublishFile(dir, metaFileName, mb)
+}
+
+// PublishFile replaces dir/name with data by writing a temporary file
+// in dir and renaming it into place, so a concurrent reader sees
+// either the old document or the new one, never a torn or empty file.
+// The temporary file is removed if any step fails. It does not fsync:
+// the rename is atomic against a process crash, not against power
+// loss.
+func PublishFile(dir, name string, data []byte) error {
+	f, err := os.CreateTemp(dir, name+".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	_, err = f.Write(data)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp, 0o644)
+	}
+	if err == nil {
+		err = os.Rename(tmp, filepath.Join(dir, name))
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }

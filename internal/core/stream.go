@@ -80,7 +80,7 @@ func (ix *Index) pieceCursor(pp PlanPiece, get postingGetter, dels *TombSet) (jo
 // issues the remaining point reads; the relations keep their piece
 // positions for the join.
 func (ix *Index) streamJoin(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (*matchStream, *QueryStats, error) {
-	st := &QueryStats{Pieces: len(pl.Pieces), Joins: len(pl.Pieces) - 1}
+	st := &QueryStats{}
 	rels := make([]join.StreamRelation, len(pl.Pieces))
 	fetchOrder := pl.Order
 	if len(fetchOrder) != len(pl.Pieces) {
@@ -119,7 +119,6 @@ func (ix *Index) streamJoin(ctx context.Context, pl *Plan, get postingGetter, ev
 		err:  js.Err,
 		finish: func(st *QueryStats) {
 			st.JoinRows = js.Rows()
-			st.PostingsFetched = js.EntriesRead()
 		},
 	}, st, nil
 }
@@ -128,12 +127,12 @@ func (ix *Index) streamJoin(ctx context.Context, pl *Plan, get postingGetter, ev
 // tid lists intersect eagerly (shared with evalFilter), candidate
 // trees validate lazily.
 func (ix *Index) streamFilter(ctx context.Context, pl *Plan, get postingGetter, ev evalOpts) (*matchStream, *QueryStats, error) {
-	cands, st, found, err := ix.filterCandidates(ctx, pl, get, ev)
+	cands, found, err := ix.filterCandidates(ctx, pl, get, ev)
 	if err != nil {
 		return nil, nil, err
 	}
 	if !found {
-		return emptyStream(), st, nil
+		return emptyStream(), &QueryStats{}, nil
 	}
 
 	m := match.New(pl.Query)
@@ -175,10 +174,9 @@ func (ix *Index) streamFilter(ctx context.Context, pl *Plan, get postingGetter, 
 		next: next,
 		err:  func() error { return serr },
 		finish: func(st *QueryStats) {
-			st.Validated = validated
 			st.JoinRows = validated
 		},
-	}, st, nil
+	}, &QueryStats{}, nil
 }
 
 // countCursor wraps an entry cursor so each decoded entry is tallied

@@ -423,25 +423,33 @@ type ServingStats struct {
 	si.Stats
 }
 
-// searchParams are the parsed per-request query parameters shared by
-// /search, /stream and /count.
-type searchParams struct {
-	src     string
-	limit   int
-	offset  int
-	timeout time.Duration
-	explain bool
+// Params are the parsed query parameters of a GET query request
+// (/search, /stream, /count). sisrv and sirouter parse them with the
+// same ParseParams, so moving a client from one to the other changes
+// the URL and nothing else.
+type Params struct {
+	// Src is the query text (the q parameter).
+	Src string
+	// Limit is the match limit after the MaxMatches clamp; 0 means
+	// unlimited.
+	Limit int
+	// Offset skips that many leading matches.
+	Offset int
+	// Timeout is the requested evaluation bound; 0 means none
+	// requested.
+	Timeout time.Duration
+	// Explain asks for per-piece planner diagnostics.
+	Explain bool
 }
 
-// boundParams is the one validation and clamping path for the
-// limit/offset/timeout triple every query endpoint accepts: /search,
-// /stream and /count (via parseParams) and /batch (from its JSON body)
-// all pass through here, so the server-side match cap and the
-// parameter sanity rules cannot drift between the GET and POST
-// surfaces. The returned limit is clamped to Config.MaxMatches, a
-// negative offset is rejected, and a timeout must be a positive Go
-// duration.
-func (s *Server) boundParams(limit, offset int, timeout string) (int, int, time.Duration, error) {
+// BoundParams is the one validation and clamping path for the
+// limit/offset/timeout triple every query endpoint accepts: the GET
+// endpoints (via ParseParams) and /batch bodies of both sisrv and
+// sirouter pass through here, so the match cap and the parameter
+// sanity rules cannot drift between surfaces or tiers. The returned
+// limit is clamped to maxMatches (see effectiveLimit), a negative
+// offset is rejected, and a timeout must be a positive Go duration.
+func BoundParams(limit, offset int, timeout string, maxMatches int) (int, int, time.Duration, error) {
 	if offset < 0 {
 		return 0, 0, 0, fmt.Errorf("bad offset %d (must be >= 0)", offset)
 	}
@@ -453,15 +461,16 @@ func (s *Server) boundParams(limit, offset int, timeout string) (int, int, time.
 		}
 		d = td
 	}
-	return s.effectiveLimit(limit), offset, d, nil
+	return effectiveLimit(limit, maxMatches), offset, d, nil
 }
 
-// parseParams validates q, limit, offset and timeout.
-func (s *Server) parseParams(r *http.Request) (searchParams, error) {
-	var p searchParams
+// ParseParams validates the q, limit, offset, explain and timeout
+// parameters of r, clamping the limit to maxMatches.
+func ParseParams(r *http.Request, maxMatches int) (Params, error) {
+	var p Params
 	v := r.URL.Query()
-	p.src = v.Get("q")
-	if p.src == "" {
+	p.Src = v.Get("q")
+	if p.Src == "" {
 		return p, fmt.Errorf("missing q parameter")
 	}
 	if raw := v.Get("limit"); raw != "" {
@@ -469,37 +478,38 @@ func (s *Server) parseParams(r *http.Request) (searchParams, error) {
 		if err != nil {
 			return p, fmt.Errorf("bad limit %q", raw)
 		}
-		p.limit = n
+		p.Limit = n
 	}
 	if raw := v.Get("offset"); raw != "" {
 		n, err := strconv.Atoi(raw)
 		if err != nil {
 			return p, fmt.Errorf("bad offset %q", raw)
 		}
-		p.offset = n
+		p.Offset = n
 	}
 	if raw := v.Get("explain"); raw != "" {
 		b, err := strconv.ParseBool(raw)
 		if err != nil {
 			return p, fmt.Errorf("bad explain %q (want 1 or 0)", raw)
 		}
-		p.explain = b
+		p.Explain = b
 	}
 	var err error
-	p.limit, p.offset, p.timeout, err = s.boundParams(p.limit, p.offset, v.Get("timeout"))
+	p.Limit, p.Offset, p.Timeout, err = BoundParams(p.Limit, p.Offset, v.Get("timeout"), maxMatches)
 	return p, err
 }
 
-// requestCtx derives the evaluation context: the request's own context
-// (cancelled on client disconnect) bounded by the effective timeout —
-// the requested one, clamped to the server default when one is set.
-func (s *Server) requestCtx(r *http.Request, requested time.Duration) (context.Context, context.CancelFunc) {
-	d := s.cfg.Timeout
+// RequestCtx derives the evaluation context of a request: its own
+// context (cancelled on client disconnect) bounded by the effective
+// timeout — the requested one, clamped to the default def when one is
+// set (def <= 0 means no default bound).
+func RequestCtx(r *http.Request, requested, def time.Duration) (context.Context, context.CancelFunc) {
+	d := def
 	if requested > 0 && (d <= 0 || requested < d) {
 		d = requested
 	}
 	if d <= 0 {
-		return r.Context(), func() {}
+		return context.WithCancel(r.Context())
 	}
 	return context.WithTimeout(r.Context(), d)
 }
@@ -534,7 +544,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := SearchResponse{
-		QueryResult: result(p.src, res),
+		QueryResult: result(p.Src, res),
 		Stats:       statsJSON(res.Stats),
 		TookNS:      took.Nanoseconds(),
 	}
@@ -549,19 +559,19 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := SearchResponse{
-		QueryResult: QueryResult{Query: p.src, Count: res.Count},
+		QueryResult: QueryResult{Query: p.Src, Count: res.Count},
 		TookNS:      took.Nanoseconds(),
 	}
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // evaluate runs the shared GET-query path for /search and /count.
-func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, countOnly bool) (*si.SearchResult, searchParams, time.Duration, bool) {
+func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, countOnly bool) (*si.SearchResult, Params, time.Duration, bool) {
 	if r.Method != http.MethodGet {
 		s.fail(w, r, http.StatusMethodNotAllowed, "use GET")
-		return nil, searchParams{}, 0, false
+		return nil, Params{}, 0, false
 	}
-	p, err := s.parseParams(r)
+	p, err := ParseParams(r, s.cfg.MaxMatches)
 	if err != nil {
 		s.fail(w, r, http.StatusBadRequest, err.Error())
 		return nil, p, 0, false
@@ -571,14 +581,14 @@ func (s *Server) evaluate(w http.ResponseWriter, r *http.Request, countOnly bool
 		return nil, p, 0, false
 	}
 	defer release()
-	ctx, cancel := s.requestCtx(r, p.timeout)
+	ctx, cancel := RequestCtx(r, p.Timeout, s.cfg.Timeout)
 	defer cancel()
-	limit, offset := p.limit, p.offset
+	limit, offset := p.Limit, p.Offset
 	if countOnly {
 		limit, offset = 0, 0
 	}
 	start := time.Now()
-	res, err := s.ix.Search(ctx, p.src, explainOptions(searchOptions(limit, offset, countOnly), p.explain)...)
+	res, err := s.ix.Search(ctx, p.Src, explainOptions(searchOptions(limit, offset, countOnly), p.Explain)...)
 	if err != nil {
 		s.fail(w, r, errStatus(err), err.Error())
 		return nil, p, 0, false
@@ -608,7 +618,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusMethodNotAllowed, "use GET")
 		return
 	}
-	p, err := s.parseParams(r)
+	p, err := ParseParams(r, s.cfg.MaxMatches)
 	if err != nil {
 		s.fail(w, r, http.StatusBadRequest, err.Error())
 		return
@@ -621,10 +631,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	ctx, cancel := s.requestCtx(r, p.timeout)
+	ctx, cancel := RequestCtx(r, p.Timeout, s.cfg.Timeout)
 	defer cancel()
 	start := time.Now()
-	res, err := s.ix.SearchStream(ctx, p.src, searchOptions(p.limit, p.offset, false)...)
+	res, err := s.ix.SearchStream(ctx, p.Src, searchOptions(p.Limit, p.Offset, false)...)
 	if err != nil {
 		s.fail(w, r, errStatus(err), err.Error())
 		return
@@ -705,7 +715,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Per-item bounds go through the same validation and MaxMatches
 	// clamp as /search's query parameters.
-	limit, offset, timeout, err := s.boundParams(req.Limit, req.Offset, req.Timeout)
+	limit, offset, timeout, err := BoundParams(req.Limit, req.Offset, req.Timeout, s.cfg.MaxMatches)
 	if err != nil {
 		s.fail(w, r, http.StatusBadRequest, err.Error())
 		return
@@ -718,7 +728,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	ctx, cancel := s.requestCtx(r, timeout)
+	ctx, cancel := RequestCtx(r, timeout, s.cfg.Timeout)
 	defer cancel()
 	start := time.Now()
 	results, err := s.ix.SearchBatch(ctx, req.Queries, searchOptions(limit, offset, req.CountOnly)...)
@@ -1080,17 +1090,17 @@ func result(src string, res *si.SearchResult) QueryResult {
 	return qr
 }
 
-// effectiveLimit clamps a requested per-query match limit to the
-// configured cap; 0 means the cap itself, negative caps mean unlimited.
-func (s *Server) effectiveLimit(requested int) int {
-	if s.cfg.MaxMatches < 0 {
+// effectiveLimit clamps a requested per-query match limit to the cap
+// maxMatches: 0 means the cap itself, a negative cap means unlimited.
+func effectiveLimit(requested, maxMatches int) int {
+	if maxMatches < 0 {
 		if requested > 0 {
 			return requested
 		}
 		return 0 // unlimited
 	}
-	if requested <= 0 || requested > s.cfg.MaxMatches {
-		return s.cfg.MaxMatches
+	if requested <= 0 || requested > maxMatches {
+		return maxMatches
 	}
 	return requested
 }
